@@ -34,6 +34,12 @@ type perfReport struct {
 	BuildParallelMs float64 `json:"build_parallel_ms"`
 	BuildWorkers    int     `json:"build_workers"`
 
+	// Heap objects and bytes one core.Build allocates per key, counted from
+	// the runtime's MemStats: unlike build_ms they do not depend on the
+	// host's speed, so CI gates on them.
+	BuildAllocsPerKey float64 `json:"build_allocs_per_key"`
+	BuildBytesPerKey  float64 `json:"build_bytes_per_key"`
+
 	ContainsNsPerOp     float64 `json:"contains_ns_per_op"`
 	ContainsAllocsPerOp float64 `json:"contains_allocs_per_op"`
 
@@ -142,6 +148,16 @@ func runPerfSuite(n int, seed uint64, outPath string, telemetrySample int) error
 		return err
 	}
 	rep.BuildParallelMs = msSince(start)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	inner, err := core.Build(keys, core.Params{}, seed)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		return err
+	}
+	rep.BuildAllocsPerKey = float64(m1.Mallocs-m0.Mallocs) / float64(n)
+	rep.BuildBytesPerKey = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n)
 
 	// Query latency and allocations on the facade fast path. GC stays off
 	// during the alloc count so pool refills cannot inflate it.
@@ -314,10 +330,6 @@ func runPerfSuite(n int, seed uint64, outPath string, telemetrySample int) error
 	// therefore serial and the speedup is honestly ~1×.
 	exactWorkers := workers
 	rep.ExactWorkers = exactWorkers
-	inner, err := core.Build(keys, core.Params{}, seed)
-	if err != nil {
-		return err
-	}
 	rep.BatchGroup = inner.BatchGroup()
 	support := dist.NewUniformSet(keys, "").Support()
 	if _, err := contention.ExactWorkers(inner, support, 1); err != nil {

@@ -119,6 +119,7 @@ func BuildDM(keys []uint64, seed uint64) (*DM, error) {
 
 	subPos := 0  // cursor in the sub-header row
 	dataPos := 0 // cursor in the ph/data rows
+	var scratch []bool
 	for g := 0; g < m; g++ {
 		gk := groups[g]
 		l := len(gk)
@@ -156,7 +157,10 @@ func BuildDM(keys []uint64, seed uint64) (*DM, error) {
 			if dataPos+span > w {
 				return nil, fmt.Errorf("baseline: dm data overflow at group %d", g)
 			}
-			hstar, _, err := hash.FindPerfect(rand, subKeys[i], uint64(span), 1000)
+			if len(scratch) < span {
+				scratch = make([]bool, span)
+			}
+			hstar, _, err := hash.FindPerfect(rand, subKeys[i], uint64(span), 1000, scratch)
 			if err != nil {
 				return nil, fmt.Errorf("baseline: dm sub-bucket (%d,%d): %w", g, i, err)
 			}

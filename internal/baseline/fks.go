@@ -93,6 +93,8 @@ func BuildFKS(keys []uint64, replicated bool, seed uint64) (*FKS, error) {
 		b := int(top.Eval(x))
 		buckets[b] = append(buckets[b], x)
 	}
+	maxLoad := hash.MaxLoad(loads)
+	scratch := make([]bool, maxLoad*maxLoad)
 	pos := 0
 	for b := 0; b < nb; b++ {
 		l := loads[b]
@@ -102,7 +104,7 @@ func BuildFKS(keys []uint64, replicated bool, seed uint64) (*FKS, error) {
 			continue
 		}
 		span := l * l
-		hstar, _, err := hash.FindPerfect(r, buckets[b], uint64(span), 1000)
+		hstar, _, err := hash.FindPerfect(r, buckets[b], uint64(span), 1000, scratch)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: fks bucket %d: %w", b, err)
 		}

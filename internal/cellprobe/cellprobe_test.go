@@ -128,6 +128,41 @@ func TestSetOnCompactRowPanics(t *testing.T) {
 	tab.Set(0, 0, Cell{})
 }
 
+func TestDenseRow(t *testing.T) {
+	tab := New(2, 5)
+	row := tab.DenseRow(1)
+	if len(row) != 5 {
+		t.Fatalf("DenseRow length %d, want 5", len(row))
+	}
+	for j := range row {
+		row[j] = Cell{Lo: uint64(j), Hi: 7}
+	}
+	tab.Set(1, 4, Cell{Lo: 40})
+	for j := 0; j < 4; j++ {
+		if got := tab.At(1, j); got != (Cell{Lo: uint64(j), Hi: 7}) {
+			t.Errorf("cell (1,%d) = %+v after row fill", j, got)
+		}
+	}
+	if tab.DenseRow(1)[4].Lo != 40 {
+		t.Error("DenseRow does not alias the backing Set writes")
+	}
+	tab.SetBlockRow(0, []Cell{{Lo: 1}}, 5)
+	for name, f := range map[string]func(){
+		"compact row":  func() { tab.DenseRow(0) },
+		"row too low":  func() { tab.DenseRow(-1) },
+		"row too high": func() { tab.DenseRow(2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("DenseRow on %s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestSetBlockRowValidation(t *testing.T) {
 	tab := New(2, 10)
 	for _, f := range []func(){

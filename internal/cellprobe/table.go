@@ -149,15 +149,25 @@ func (t *Table) read(row, col int) Cell {
 // and are never recorded. Writing to a compact row panics — replace the
 // backing with SetBlockRow instead.
 func (t *Table) Set(row, col int, c Cell) {
-	i := t.Index(row, col) // bounds check
-	_ = i
+	t.Index(row, col) // bounds check
+	t.DenseRow(row)[col] = c
+}
+
+// DenseRow returns the dense backing of row — its width cells, allocating
+// them on first use — so construction can fill whole rows in tight loops.
+// Writes through the slice are construction writes like Set: never probes,
+// never recorded. Like Set it panics on a compact row.
+func (t *Table) DenseRow(row int) []Cell {
+	if row < 0 || row >= t.rows {
+		panic(fmt.Sprintf("cellprobe: row %d out of range", row))
+	}
 	if t.block[row].values != nil {
-		panic(fmt.Sprintf("cellprobe: Set on compact row %d", row))
+		panic(fmt.Sprintf("cellprobe: dense write to compact row %d", row))
 	}
 	if t.dense[row] == nil {
 		t.dense[row] = make([]Cell, t.width)
 	}
-	t.dense[row][col] = c
+	return t.dense[row]
 }
 
 // SetBlockRow installs a compact backing for a row whose content is

@@ -306,18 +306,31 @@ func Build(keys []uint64, p Params, seed uint64) (*Dict, error) {
 	if err := dict.layout(keys, p, rand); err != nil {
 		return nil, err
 	}
-	// Self-check: every key must be retrievable through the real query path.
+	// Self-check: every key must be retrievable through the real query
+	// path. One ContainsBatch on one scratch answers all keys: the
+	// wavefront runs the same §2.3 state machine as Contains, reading every
+	// value from table cells by recorded probes and drawing each query's
+	// replicas from the check stream in key order, so its answers, probed
+	// cells and stream position are those of a per-key Contains loop
+	// (batch_equiv_test.go).
 	check := rng.New(seed ^ 0x5eed)
-	for _, k := range keys {
-		ok, err := dict.Contains(k, check)
-		if err != nil {
-			return nil, fmt.Errorf("core: self-check query failed: %w", err)
-		}
+	found := make([]bool, n)
+	var sc QueryScratch
+	if err := dict.ContainsBatch(keys, found, check, &sc); err != nil {
+		return nil, fmt.Errorf("core: self-check query failed: %w", err)
+	}
+	for i, ok := range found {
 		if !ok {
-			return nil, fmt.Errorf("core: self-check lost key %d", k)
+			return nil, fmt.Errorf("core: self-check lost key %d", keys[i])
 		}
 	}
 	return dict, nil
+}
+
+// loadBufs are one resampling stream's load vectors, reused across its
+// draws: gLoads over [r], hLoads over [s], hpLoads over [m].
+type loadBufs struct {
+	g, h, hp []int
 }
 
 // hashDraw is one candidate (f, g, z) together with its property-P(S)
@@ -335,8 +348,10 @@ type hashDraw struct {
 
 // drawCandidate draws one (f, g, z) from rand and checks property P(S) at
 // slack c. It always consumes exactly 2d + r values from rand, whether or
-// not the checks pass, so candidate streams stay aligned.
-func (dict *Dict) drawCandidate(keys []uint64, c float64, rand *rng.RNG) hashDraw {
+// not the checks pass, so candidate streams stay aligned. The load vectors
+// are counted into buf; an accepted draw's hLoads aliases buf.h, so the
+// caller must stop reusing buf once it accepts.
+func (dict *Dict) drawCandidate(keys []uint64, c float64, rand *rng.RNG, buf *loadBufs) hashDraw {
 	n, s, r, m, d := dict.n, dict.s, dict.r, dict.m, dict.d
 	f := hash.NewPoly(rand, d, uint64(s))
 	g := hash.NewPoly(rand, d, uint64(r))
@@ -347,12 +362,16 @@ func (dict *Dict) drawCandidate(keys []uint64, c float64, rand *rng.RNG) hashDra
 	cand := hashDraw{f: f, g: g, z: z}
 	hEval := func(x uint64) uint64 { return (f.Eval(x) + z[g.Eval(x)]) % uint64(s) }
 
-	gLoads := hash.Loads(keys, g.Eval, r)
+	if buf.g == nil {
+		buf.g, buf.h, buf.hp = make([]int, r), make([]int, s), make([]int, m)
+	}
+	gLoads := hash.LoadsInto(buf.g, keys, g.Eval)
 	if float64(hash.MaxLoad(gLoads)) > c*float64(n)/float64(r) {
 		return cand
 	}
-	hLoads := hash.Loads(keys, hEval, s)
-	hpLoads := make([]int, m)
+	hLoads := hash.LoadsInto(buf.h, keys, hEval)
+	hpLoads := buf.hp
+	clear(hpLoads)
 	for i, l := range hLoads {
 		hpLoads[i%m] += l
 	}
@@ -394,10 +413,11 @@ func (dict *Dict) drawHashes(keys []uint64, p Params, rand *rng.RNG) error {
 	}
 	c := p.C
 	tries := 0
+	var buf loadBufs
 	for esc := 0; esc <= p.MaxEscalations; esc++ {
 		for t := 0; t < p.MaxTriesPerSlack; t++ {
 			tries++
-			if cand := dict.drawCandidate(keys, c, rand); cand.ok {
+			if cand := dict.drawCandidate(keys, c, rand, &buf); cand.ok {
 				dict.accept(cand, tries, esc, c)
 				return nil
 			}
@@ -424,6 +444,7 @@ func (dict *Dict) drawHashesParallel(keys []uint64, p Params, rand *rng.RNG) err
 	rounds := (p.MaxTriesPerSlack + K - 1) / K
 	tries := 0
 	cands := make([]hashDraw, K)
+	bufs := make([]loadBufs, K)
 	for esc := 0; esc <= p.MaxEscalations; esc++ {
 		for t := 0; t < rounds; t++ {
 			var wg sync.WaitGroup
@@ -431,7 +452,7 @@ func (dict *Dict) drawHashesParallel(keys []uint64, p Params, rand *rng.RNG) err
 				wg.Add(1)
 				go func(k int) {
 					defer wg.Done()
-					cands[k] = dict.drawCandidate(keys, c, wrng[k])
+					cands[k] = dict.drawCandidate(keys, c, wrng[k], &bufs[k])
 				}(k)
 			}
 			wg.Wait()
@@ -450,12 +471,14 @@ func (dict *Dict) drawHashesParallel(keys []uint64, p Params, rand *rng.RNG) err
 
 // phSource supplies the perfect hash for one bucket's keys and span. Build
 // searches with FindPerfect; deserialization replays stored coefficients.
-type phSource func(bucket int, keys []uint64, span int) (hash.Pairwise, int, error)
+// scratch holds at least span cells of injectivity-check memory, shared by
+// every bucket of one layout.
+type phSource func(bucket int, keys []uint64, span int, scratch []bool) (hash.Pairwise, int, error)
 
 // layout fills the table rows from the accepted hash functions.
 func (dict *Dict) layout(keys []uint64, p Params, rand *rng.RNG) error {
-	finder := func(_ int, bucketKeys []uint64, span int) (hash.Pairwise, int, error) {
-		return hash.FindPerfect(rand, bucketKeys, uint64(span), p.PerfectMaxTries)
+	finder := func(_ int, bucketKeys []uint64, span int, scratch []bool) (hash.Pairwise, int, error) {
+		return hash.FindPerfect(rand, bucketKeys, uint64(span), p.PerfectMaxTries, scratch)
 	}
 	return dict.layoutWith(keys, finder)
 }
@@ -466,11 +489,26 @@ func (dict *Dict) layoutWith(keys []uint64, ph phSource) error {
 	s, m, d := dict.s, dict.m, dict.d
 	bucketsPerGroup := s / m
 
-	// Assign keys to buckets.
-	bucketKeys := make(map[int][]uint64)
+	// Assign keys to buckets by counting sort over hLoads: bucket b's keys
+	// land in sorted[first[b]:first[b+1]] in input order. A key set that
+	// disagrees with hLoads is an error, never a write outside a span.
+	first := make([]int, s+1)
+	for b, l := range dict.hLoads {
+		first[b+1] = first[b] + l
+	}
+	if first[s] != len(keys) {
+		return fmt.Errorf("core: bucket loads sum to %d, want %d keys", first[s], len(keys))
+	}
+	next := make([]int, s)
+	copy(next, first)
+	sorted := make([]uint64, len(keys))
 	for _, x := range keys {
-		b := int(dict.hEval(x))
-		bucketKeys[b] = append(bucketKeys[b], x)
+		b := dict.hEval(x)
+		if next[b] == first[b+1] {
+			return fmt.Errorf("core: bucket %d receives more than its load of %d keys", b, dict.hLoads[b])
+		}
+		sorted[next[b]] = x
+		next[b]++
 	}
 
 	// Group base addresses and per-bucket offsets (buckets ordered by
@@ -494,8 +532,8 @@ func (dict *Dict) layoutWith(keys []uint64, ph phSource) error {
 	// Group histograms, and ρ from the realized maximum bit length.
 	groupWords := make([][]uint64, m)
 	maxBits := 1
+	loads := make([]int, bucketsPerGroup)
 	for grp := 0; grp < m; grp++ {
-		loads := make([]int, bucketsPerGroup)
 		for k := 0; k < bucketsPerGroup; k++ {
 			loads[k] = dict.hLoads[k*m+grp]
 		}
@@ -552,55 +590,47 @@ func (dict *Dict) layoutWith(keys []uint64, ph phSource) error {
 		}
 	} else {
 		for i := 0; i < d; i++ {
-			for j := 0; j < s; j++ {
-				tab.Set(i, j, cellprobe.Cell{Lo: dict.f.Coef[i]})
-				tab.Set(d+i, j, cellprobe.Cell{Lo: dict.g.Coef[i]})
-			}
+			fill(tab.DenseRow(i), cellprobe.Cell{Lo: dict.f.Coef[i]})
+			fill(tab.DenseRow(d+i), cellprobe.Cell{Lo: dict.g.Coef[i]})
 		}
-		zRow := dict.zRow()
-		for j := 0; j < s; j++ {
-			tab.Set(zRow, j, cellprobe.Cell{Lo: dict.z[dict.zReplicaIndex(j)]})
+		for j, row := 0, tab.DenseRow(dict.zRow()); j < s; j++ {
+			row[j] = cellprobe.Cell{Lo: dict.z[dict.zReplicaIndex(j)]}
 		}
-		gbasRow := dict.gbasRow()
-		for j := 0; j < s; j++ {
-			tab.Set(gbasRow, j, cellprobe.Cell{Lo: gbas[dict.groupReplicaIndex(j)]})
+		for j, row := 0, tab.DenseRow(dict.gbasRow()); j < s; j++ {
+			row[j] = cellprobe.Cell{Lo: gbas[dict.groupReplicaIndex(j)]}
 		}
 		for w := 0; w < rho; w++ {
-			row := dict.histRow() + w
-			for j := 0; j < s; j++ {
-				tab.Set(row, j, histCell(dict.groupReplicaIndex(j), w))
+			for j, row := 0, tab.DenseRow(dict.histRow()+w); j < s; j++ {
+				row[j] = histCell(dict.groupReplicaIndex(j), w)
 			}
 		}
 	}
 	// Last two rows: per-bucket perfect hashes and data.
-	phRow, dataRow := dict.phRow(), dict.dataRow()
-	for j := 0; j < s; j++ {
-		tab.Set(dataRow, j, cellprobe.Cell{Lo: sentinelLo})
-	}
+	phRow, dataRow := tab.DenseRow(dict.phRow()), tab.DenseRow(dict.dataRow())
+	fill(dataRow, cellprobe.Cell{Lo: sentinelLo})
 	dict.phA = make([]uint64, s)
 	dict.phB = make([]uint64, s)
+	maxLoad := hash.MaxLoad(dict.hLoads)
+	scratch := make([]bool, maxLoad*maxLoad)
 	perfectTries := 0
-	// Iterate buckets in index order: map iteration order would make the
-	// perfect-hash RNG consumption, and hence the build, nondeterministic.
+	// Buckets in index order: the perfect-hash RNG consumption, and hence
+	// the build, depends on it.
 	for b := 0; b < s; b++ {
-		bk := bucketKeys[b]
+		bk := sorted[first[b]:first[b+1]]
 		if len(bk) == 0 {
 			continue
 		}
-		l := dict.hLoads[b]
-		span := l * l
-		hstar, tries, err := ph(b, bk, span)
+		span := len(bk) * len(bk)
+		hstar, tries, err := ph(b, bk, span, scratch)
 		perfectTries += tries
 		if err != nil {
 			return fmt.Errorf("core: bucket %d: %w", b, err)
 		}
 		dict.phA[b], dict.phB[b] = hstar.A, hstar.B
 		off := offsets[b]
-		for j := 0; j < span; j++ {
-			tab.Set(phRow, off+j, cellprobe.Cell{Lo: hstar.A, Hi: hstar.B})
-		}
+		fill(phRow[off:off+span], cellprobe.Cell{Lo: hstar.A, Hi: hstar.B})
 		for _, x := range bk {
-			tab.Set(dataRow, off+int(hstar.Eval(x)), cellprobe.Cell{Lo: x, Hi: occupiedTag})
+			dataRow[off+int(hstar.Eval(x))] = cellprobe.Cell{Lo: x, Hi: occupiedTag}
 		}
 	}
 
@@ -609,6 +639,13 @@ func (dict *Dict) layoutWith(keys []uint64, ph phSource) error {
 	dict.report.Cells = tab.Size()
 	dict.report.PerfectTries = perfectTries
 	return nil
+}
+
+// fill sets every cell of row to c.
+func fill(row []cellprobe.Cell, c cellprobe.Cell) {
+	for j := range row {
+		row[j] = c
+	}
 }
 
 // zReplicaIndex maps a z-row column to the z entry it replicates.

@@ -464,6 +464,40 @@ func TestDeterministicBuild(t *testing.T) {
 	}
 }
 
+// TestLayoutRejectsLoadMismatch: the counting-sort bucket assignment trusts
+// hLoads for its spans, so a load vector that disagrees with the keys —
+// a bucket receiving more keys than its load, or loads summing to the
+// wrong total — must be an error, never a panic or a write outside a span.
+func TestLayoutRejectsLoadMismatch(t *testing.T) {
+	keys := distinctKeys(rng.New(19), 200)
+	d := mustBuild(t, keys, 20)
+	full, empty := -1, -1
+	for b, l := range d.hLoads {
+		if l > 0 && full < 0 {
+			full = b
+		}
+		if l == 0 && empty < 0 {
+			empty = b
+		}
+	}
+	noPH := func(int, []uint64, int, []bool) (hash.Pairwise, int, error) {
+		t.Fatal("perfect-hash source reached despite mismatched loads")
+		return hash.Pairwise{}, 0, nil
+	}
+	orig := append([]int(nil), d.hLoads...)
+	for name, mutate := range map[string]func([]int){
+		"overfull bucket": func(l []int) { l[full]--; l[empty]++ },
+		"short total":     func(l []int) { l[full]-- },
+		"long total":      func(l []int) { l[empty]++ },
+	} {
+		d.hLoads = append([]int(nil), orig...)
+		mutate(d.hLoads)
+		if err := d.layoutWith(keys, noPH); err == nil {
+			t.Errorf("%s: layout accepted loads that disagree with the keys", name)
+		}
+	}
+}
+
 // Failure injection: corrupting cells must surface as errors or wrong-but-
 // detected states, never panics.
 func TestCorruptZValueSurfacesError(t *testing.T) {

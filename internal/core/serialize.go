@@ -209,13 +209,13 @@ func Read(r io.Reader) (*Dict, error) {
 		return nil, fmt.Errorf("core: bucket loads sum to %d, want %d", total, n)
 	}
 
-	replay := func(b int, bucketKeys []uint64, span int) (hash.Pairwise, int, error) {
+	replay := func(b int, bucketKeys []uint64, span int, scratch []bool) (hash.Pairwise, int, error) {
 		ph, ok := phs[b]
 		if !ok {
 			return hash.Pairwise{}, 0, fmt.Errorf("missing perfect hash for bucket %d", b)
 		}
 		h := hash.Pairwise{A: ph.a, B: ph.b, M: uint64(span)}
-		if !h.IsInjectiveOn(bucketKeys, nil) {
+		if !h.IsInjectiveOn(bucketKeys, scratch) {
 			return hash.Pairwise{}, 0, fmt.Errorf("stored perfect hash for bucket %d is not injective", b)
 		}
 		return h, 1, nil

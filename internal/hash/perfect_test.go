@@ -47,7 +47,7 @@ func TestFindPerfectInjective(t *testing.T) {
 		if m == 0 {
 			m = 1
 		}
-		h, tries, err := FindPerfect(r, keys, m, 200)
+		h, tries, err := FindPerfect(r, keys, m, 200, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -77,7 +77,7 @@ func TestFindPerfectExpectedTries(t *testing.T) {
 	const runs = 200
 	for i := 0; i < runs; i++ {
 		keys := distinctKeys(r, n)
-		_, tries, err := FindPerfect(r, keys, n*n, 500)
+		_, tries, err := FindPerfect(r, keys, n*n, 500, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestFindPerfectExpectedTries(t *testing.T) {
 func TestFindPerfectImpossible(t *testing.T) {
 	r := rng.New(24)
 	keys := distinctKeys(r, 5)
-	if _, _, err := FindPerfect(r, keys, 4, 10); err == nil {
+	if _, _, err := FindPerfect(r, keys, 4, 10, nil); err == nil {
 		t.Error("5 keys into range 4 did not fail")
 	}
 }
@@ -101,15 +101,46 @@ func TestFindPerfectGivesUp(t *testing.T) {
 	// with maxTries = 0 semantics (loop never runs) we must get an error.
 	r := rng.New(25)
 	keys := distinctKeys(r, 3)
-	if _, _, err := FindPerfect(r, keys, 9, 0); err == nil {
+	if _, _, err := FindPerfect(r, keys, 9, 0, nil); err == nil {
 		t.Error("maxTries=0 did not fail")
+	}
+}
+
+// TestFindPerfectScratchEquivalent: a caller-owned scratch — reused across
+// searches, larger than the range and left dirty by the previous search —
+// changes neither the function found, the trial count, nor how many values
+// the search draws from the RNG.
+func TestFindPerfectScratchEquivalent(t *testing.T) {
+	keyRNG := rng.New(27)
+	scratch := make([]bool, 400)
+	for i := range scratch {
+		scratch[i] = true
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + trial%20
+		keys := distinctKeys(keyRNG, n)
+		m := uint64(n * n)
+		if trial%7 == 0 {
+			m = uint64(n) // tight range: searches often exhaust their tries
+		}
+		seed := uint64(1000 + trial)
+		r1, r2 := rng.New(seed), rng.New(seed)
+		h1, tries1, err1 := FindPerfect(r1, keys, m, 50, nil)
+		h2, tries2, err2 := FindPerfect(r2, keys, m, 50, scratch)
+		if h1 != h2 || tries1 != tries2 || (err1 == nil) != (err2 == nil) {
+			t.Fatalf("trial %d: nil scratch gave (%+v, %d, %v), reused scratch (%+v, %d, %v)",
+				trial, h1, tries1, err1, h2, tries2, err2)
+		}
+		if a, b := r1.Uint64(), r2.Uint64(); a != b {
+			t.Fatalf("trial %d: RNG streams diverged after the search", trial)
+		}
 	}
 }
 
 func TestIsInjectiveOnScratchReuse(t *testing.T) {
 	r := rng.New(26)
 	keys := distinctKeys(r, 10)
-	h, _, err := FindPerfect(r, keys, 100, 100)
+	h, _, err := FindPerfect(r, keys, 100, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +217,7 @@ func BenchmarkFindPerfect25Keys(b *testing.B) {
 	keys := distinctKeys(r, 25)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := FindPerfect(r, keys, 625, 500); err != nil {
+		if _, _, err := FindPerfect(r, keys, 625, 500, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -138,7 +138,13 @@ func (h DM) Mod(m uint64) (DM, error) {
 // Loads returns the bucket loads ℓ(S, h, i) of Definition 5 for the hash
 // function eval with range m: loads[i] = |{x ∈ S : eval(x) = i}|.
 func Loads(S []uint64, eval func(uint64) uint64, m int) []int {
-	loads := make([]int, m)
+	return LoadsInto(make([]int, m), S, eval)
+}
+
+// LoadsInto is Loads counting into a caller-owned vector: it zeroes loads,
+// whose length is the range m, and returns it filled.
+func LoadsInto(loads []int, S []uint64, eval func(uint64) uint64) []int {
+	clear(loads)
 	for _, x := range S {
 		loads[eval(x)]++
 	}
